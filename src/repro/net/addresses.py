@@ -13,23 +13,31 @@ from ..errors import AddressError
 
 
 class IPv4Address:
-    """An immutable IPv4 address."""
+    """An immutable IPv4 address.
 
-    __slots__ = ("_value",)
+    The dotted-quad text is formatted once, when the address is built:
+    flow and demux keys are made from it for every packet, and an
+    address is built far less often than it is printed.
+    """
+
+    __slots__ = ("_value", "_text")
 
     def __init__(self, address: t.Union[str, int, "IPv4Address"]) -> None:
         if isinstance(address, IPv4Address):
             self._value = address._value
+            self._text = address._text
             return
         if isinstance(address, int):
             if not 0 <= address <= 0xFFFFFFFF:
                 raise AddressError(f"address out of range: {address}")
-            self._value = address
-            return
-        if isinstance(address, str):
-            self._value = self._parse(address)
-            return
-        raise AddressError(f"cannot build an address from {address!r}")
+            value = address
+        elif isinstance(address, str):
+            value = self._parse(address)
+        else:
+            raise AddressError(f"cannot build an address from {address!r}")
+        self._value = value
+        self._text = (f"{(value >> 24) & 255}.{(value >> 16) & 255}."
+                      f"{(value >> 8) & 255}.{value & 255}")
 
     @staticmethod
     def _parse(text: str) -> int:
@@ -50,8 +58,7 @@ class IPv4Address:
         return self._value
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+        return self._text
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"

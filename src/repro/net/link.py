@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import NetworkError
 from ..sim import Simulator, TraceLog
+from ..sim.events import PRIORITY_NORMAL
 from .middlebox import Middlebox, Verdict
 from .packet import Packet
 
@@ -29,6 +30,28 @@ class Direction:
 
     def __str__(self) -> str:
         return f"{self.sender}->{self.receiver}"
+
+
+class _Arrival:
+    """A packet due at a node: the kernel queue entry of one delivery.
+
+    The kernel pops it like an event and calls :meth:`_run_callbacks`,
+    but it carries no waiters or state: one small object per delivery
+    instead of a ``Timeout`` plus two closures.  ``receive`` is looked
+    up when the packet arrives, never bound in advance, so a method
+    patched onto ``Node`` while the simulation runs still sees every
+    arrival.
+    """
+
+    __slots__ = ("receiver", "packet", "link")
+
+    def __init__(self, receiver: "Node", packet: Packet, link: "Link") -> None:
+        self.receiver = receiver
+        self.packet = packet
+        self.link = link
+
+    def _run_callbacks(self) -> None:
+        self.receiver.receive(self.packet, self.link)
 
 
 class Link:
@@ -80,6 +103,9 @@ class Link:
         self.bytes_sent: t.Dict[str, int] = {a.name: 0, b.name: 0}
         self.packets_sent: t.Dict[str, int] = {a.name: 0, b.name: 0}
         self.packets_dropped: t.Dict[str, int] = {a.name: 0, b.name: 0}
+        # (receiver, direction) for a packet sent by a, and by b.
+        self._from_a = (b, Direction(a.name, b.name))
+        self._from_b = (a, Direction(b.name, a.name))
         a._attach(self)
         b._attach(self)
 
@@ -131,8 +157,12 @@ class Link:
 
     def transmit(self, packet: Packet, sender: "Node") -> None:
         """Send ``packet`` from ``sender`` toward the other endpoint."""
-        receiver = self.peer_of(sender)
-        direction = Direction(sender.name, receiver.name)
+        if sender is self.a:
+            receiver, direction = self._from_a
+        elif sender is self.b:
+            receiver, direction = self._from_b
+        else:
+            raise NetworkError(f"{sender.name} is not attached to {self.name}")
         self.bytes_sent[sender.name] += packet.size
         self.packets_sent[sender.name] += 1
 
@@ -161,8 +191,8 @@ class Link:
         """
         if toward not in (self.a, self.b):
             raise NetworkError(f"{toward.name} is not attached to {self.name}")
-        delay = self.latency / 2.0
-        self.sim.schedule(delay, lambda: toward.receive(packet, self))
+        self.sim._schedule_event(_Arrival(toward, packet, self),
+                                 PRIORITY_NORMAL, self.latency / 2.0)
         if self.trace is not None:
             self.trace.emit(
                 "link.inject", link=self.name, toward=toward.name,
@@ -174,7 +204,8 @@ class Link:
         start = max(now, self._busy_until[sender.name])
         self._busy_until[sender.name] = start + serialization
         arrival_delay = (start - now) + serialization + self.latency
-        self.sim.schedule(arrival_delay, lambda: receiver.receive(packet, self))
+        self.sim._schedule_event(_Arrival(receiver, packet, self),
+                                 PRIORITY_NORMAL, arrival_delay)
 
     def _record_drop(self, packet: Packet, direction: Direction, reason: str) -> None:
         self.packets_dropped[direction.sender] += 1

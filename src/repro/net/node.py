@@ -31,10 +31,14 @@ class Node:
         self.name = name
         self.trace = trace
         self.addresses: t.List[IPv4Address] = []
+        # Integer values of ``addresses``, for the per-packet owns().
+        self._owned: t.Set[int] = set()
         self.links: t.List[Link] = []
         # Next-hop routing: exact destination -> link, prefix routes in
         # longest-prefix-first order, and an optional default link.
-        self._host_routes: t.Dict[IPv4Address, Link] = {}
+        # Host routes are keyed by address value: an int lookup per
+        # packet instead of IPv4Address.__hash__ and __eq__.
+        self._host_routes: t.Dict[int, Link] = {}
         self._prefix_routes: t.List[t.Tuple[Prefix, Link]] = []
         self._default_route: t.Optional[Link] = None
         self.outbound_hooks: t.List[PacketHook] = []
@@ -46,6 +50,7 @@ class Node:
     def add_address(self, address: t.Union[str, IPv4Address]) -> IPv4Address:
         addr = IPv4Address(address)
         self.addresses.append(addr)
+        self._owned.add(int(addr))
         return addr
 
     @property
@@ -59,7 +64,9 @@ class Node:
         self.links.append(link)
 
     def add_host_route(self, destination: t.Union[str, IPv4Address], link: Link) -> None:
-        self._host_routes[IPv4Address(destination)] = link
+        if not isinstance(destination, IPv4Address):
+            destination = IPv4Address(destination)
+        self._host_routes[destination._value] = link
 
     def add_prefix_route(self, prefix: t.Union[str, Prefix], link: Link) -> None:
         pfx = prefix if isinstance(prefix, Prefix) else Prefix(prefix)
@@ -76,7 +83,7 @@ class Node:
 
     def route_for(self, destination: IPv4Address) -> Link:
         """Longest-match route lookup; raises :class:`RoutingError`."""
-        link = self._host_routes.get(destination)
+        link = self._host_routes.get(destination._value)
         if link is not None:
             return link
         for prefix, prefix_link in self._prefix_routes:
@@ -89,7 +96,7 @@ class Node:
     # -- data path -------------------------------------------------------------
 
     def owns(self, address: IPv4Address) -> bool:
-        return address in self.addresses
+        return address._value in self._owned
 
     def send(self, packet: Packet) -> None:
         """Originate or forward ``packet`` out of this node."""
@@ -118,7 +125,7 @@ class Node:
         if packet.ttl <= 0:
             return  # silently drop expired packets
         self.packets_forwarded += 1
-        forwarded = packet.copy(ttl=packet.ttl - 1, packet_id=packet.packet_id)
+        forwarded = packet.hop()
         try:
             link = self.route_for(forwarded.dst)
         except RoutingError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import typing as t
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .addresses import IPv4Address
 
@@ -89,26 +89,45 @@ class WireFeatures:
 OPAQUE_STREAM = WireFeatures(protocol_tag="unknown-stream", entropy=8.0)
 
 
-@dataclass
 class Packet:
     """A packet on the simulated wire.
 
     ``payload`` is a transport segment (``repro.transport``) or an
     inner :class:`Packet` when tunnel-encapsulated.  ``size`` is the
     full on-wire size in bytes including all headers.
+
+    A hand-written ``__slots__`` class rather than a dataclass: every
+    router hop copies the packet (:meth:`hop`), and a slotted class
+    copied field by field is several times cheaper than
+    ``dataclasses.replace``.
     """
 
-    src: IPv4Address
-    dst: IPv4Address
-    protocol: str  # "tcp", "udp", "icmp", "gre"
-    payload: t.Any
-    size: int
-    features: WireFeatures = field(default_factory=WireFeatures)
-    ttl: int = 64
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    # Identifier of the application flow this packet belongs to, as seen
-    # at the outermost layer; filled in by the transport.
-    flow: t.Optional[t.Tuple[t.Any, ...]] = None
+    __slots__ = ("src", "dst", "protocol", "payload", "size", "features",
+                 "ttl", "packet_id", "flow")
+
+    def __init__(
+        self,
+        src: IPv4Address,
+        dst: IPv4Address,
+        protocol: str,  # "tcp", "udp", "icmp", "gre"
+        payload: t.Any,
+        size: int,
+        features: t.Optional[WireFeatures] = None,
+        ttl: int = 64,
+        packet_id: t.Optional[int] = None,
+        # Identifier of the application flow this packet belongs to, as
+        # seen at the outermost layer; filled in by the transport.
+        flow: t.Optional[t.Tuple[t.Any, ...]] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.payload = payload
+        self.size = size
+        self.features = features if features is not None else WireFeatures()
+        self.ttl = ttl
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self.flow = flow
 
     def encapsulate(
         self,
@@ -142,8 +161,28 @@ class Packet:
 
     def copy(self, **changes: t.Any) -> "Packet":
         """A shallow copy with ``changes`` applied and a fresh id."""
-        changes.setdefault("packet_id", next(_packet_ids))
-        return replace(self, **changes)
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields["packet_id"] = next(_packet_ids)
+        fields.update(changes)
+        return Packet(**fields)
+
+    def hop(self) -> "Packet":
+        """The copy a router forwards: same id, TTL one lower."""
+        # Draw (and discard) an id, as forwarding always has: the id
+        # stream, and so every later packet's id in a trace, depends
+        # on how many hops came before.
+        next(_packet_ids)
+        forwarded = Packet.__new__(Packet)
+        forwarded.src = self.src
+        forwarded.dst = self.dst
+        forwarded.protocol = self.protocol
+        forwarded.payload = self.payload
+        forwarded.size = self.size
+        forwarded.features = self.features
+        forwarded.ttl = self.ttl - 1
+        forwarded.packet_id = self.packet_id
+        forwarded.flow = self.flow
+        return forwarded
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.packet_id} {self.src}->{self.dst} "

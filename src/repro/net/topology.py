@@ -2,9 +2,9 @@
 
 :class:`Network` is the container a scenario assembles: add hosts and
 routers, connect them with links, then call :meth:`build_routes` to
-install latency-weighted shortest-path next hops everywhere.  The
-topologies in this reproduction are small (tens of nodes), so
-all-pairs Dijkstra is plenty.
+install latency-weighted shortest-path next hops everywhere.  Only
+nodes with several links need a Dijkstra search; the backbone is tens
+of nodes, and the thousands of client hosts a sweep adds are stubs.
 """
 
 from __future__ import annotations
@@ -144,15 +144,41 @@ class Network:
         by DNS poisoning) is carried toward the core and blackholed
         there rather than erroring at the sender — matching how real
         hosts behave behind a default gateway.
+
+        A stub's shortest path to every node it can reach starts on its
+        only link, so stubs skip the search.  Client hosts are stubs,
+        and one Dijkstra run per client made building a 2,000-client
+        testbed take longer than the simulation it served.
         """
+        component = self._components()
         for origin in self.nodes.values():
             origin.clear_routes()
-            first_hop = self._dijkstra_first_hops(origin)
+            if len(origin.links) == 1:
+                uplink = origin.links[0]
+                origin.set_default_route(uplink)
+                first_hop = {node: uplink for node in component[origin]
+                             if node is not origin}
+            else:
+                first_hop = self._dijkstra_first_hops(origin)
             for target, link in first_hop.items():
                 for address in target.addresses:
                     origin.add_host_route(address, link)
-            if len(origin.links) == 1:
-                origin.set_default_route(origin.links[0])
+
+    def _components(self) -> t.Dict[Node, t.List[Node]]:
+        """Map every node to the nodes connected to it, itself included."""
+        component: t.Dict[Node, t.List[Node]] = {}
+        for start in self.nodes.values():
+            if start in component:
+                continue
+            members = [start]
+            component[start] = members
+            for node in members:  # appended to while iterated: breadth-first
+                for link in node.links:
+                    peer = link.peer_of(node)
+                    if peer not in component:
+                        component[peer] = members
+                        members.append(peer)
+        return component
 
     def _dijkstra_first_hops(self, origin: Node) -> t.Dict[Node, Link]:
         """Map every reachable node to the first link out of ``origin``."""

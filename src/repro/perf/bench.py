@@ -23,6 +23,7 @@ host-side measurement tooling, outside reprolint's determinism scopes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -35,9 +36,17 @@ SCHEMA = "repro.perf.bench/1"
 
 
 def _best_time(function: t.Callable[[], t.Any], repeat: int = 3) -> float:
-    """Best-of-``repeat`` wall time of one call — robust to noise spikes."""
+    """Best-of-``repeat`` wall time of one call — robust to noise spikes.
+
+    Each call starts on a collected heap.  A simulated world is a web
+    of reference cycles, freed only by the cyclic collector; without
+    the collection, a call can pay a full collection of the worlds an
+    earlier cell left behind, and which call pays depends on how many
+    objects each earlier one allocated, not on its own speed.
+    """
     best = float("inf")
     for _ in range(repeat):
+        gc.collect()
         start = time.perf_counter()
         function()
         elapsed = time.perf_counter() - start

@@ -24,10 +24,35 @@ import heapq
 import typing as t
 
 from ..errors import ProcessKilled, SimulationError
-from .events import AllOf, AnyOf, Event, FlowEvent, Timeout, PRIORITY_URGENT
+from .events import (
+    AllOf, AnyOf, Event, FlowEvent, Timeout, PRIORITY_NORMAL, PRIORITY_URGENT)
 from .rng import RngRegistry
 
 ProcessGenerator = t.Generator[Event, t.Any, t.Any]
+
+
+class QueueEntry(t.Protocol):
+    """Anything the kernel can pop: it runs ``_run_callbacks()``.
+
+    :class:`Event` is the general case.  Plain timers (:class:`_Call`)
+    and link deliveries (``repro.net.link._Arrival``) use smaller
+    entries that nothing can wait on.
+    """
+
+    def _run_callbacks(self) -> None: ...
+
+
+class _Call:
+    """The queue entry of :meth:`Simulator.call_later`: ``fn(*args)``."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: t.Callable[..., None], args: t.Tuple[t.Any, ...]) -> None:
+        self.fn = fn
+        self.args = args
+
+    def _run_callbacks(self) -> None:
+        self.fn(*self.args)
 
 
 class Process(Event):
@@ -121,7 +146,7 @@ class Simulator:
     def __init__(self, seed: int = 0,
                  rng: t.Optional[RngRegistry] = None) -> None:
         self._now = 0.0
-        self._queue: t.List[t.Tuple[float, int, int, Event]] = []
+        self._queue: t.List[t.Tuple[float, int, int, QueueEntry]] = []
         self._seq = 0
         self._running = False
         self.rng = rng if rng is not None else RngRegistry(seed)
@@ -174,7 +199,9 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule_event(self, event: Event, priority: int, delay: float) -> None:
+    def _schedule_event(self, event: QueueEntry, priority: int, delay: float) -> None:
+        # Each entry takes exactly one sequence number, so ties at one
+        # instant fire in insertion order whatever the entry's type.
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
@@ -187,6 +214,19 @@ class Simulator:
         timer = self.timeout(delay)
         timer.add_callback(lambda _event: callback())
         return timer
+
+    def call_later(self, delay: float, fn: t.Callable[..., None],
+                   *args: t.Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds; nothing to await.
+
+        The cheap form of :meth:`schedule` for timers whose event no
+        one uses: one queue entry, no ``Timeout`` and no closure.  It
+        takes the same single sequence number, so event order is the
+        same as with :meth:`schedule`.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timer delay: {delay}")
+        self._schedule_event(_Call(fn, args), PRIORITY_NORMAL, delay)
 
     # -- execution -----------------------------------------------------------
 

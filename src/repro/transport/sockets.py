@@ -80,7 +80,10 @@ class TransportLayer:
         local_addr: t.Optional[IPv4Address] = None,
     ) -> Event:
         """Open a connection; the event fires with the TcpConnection."""
-        remote = IPv4Address(remote_addr)
+        # Addresses are immutable: share the caller's instance (and its
+        # cached text) rather than copying it per connection.
+        remote = (remote_addr if isinstance(remote_addr, IPv4Address)
+                  else IPv4Address(remote_addr))
         local_port = next(self._ephemeral)
         conn = TcpConnection(
             self, local_addr or self.host.address, local_port,

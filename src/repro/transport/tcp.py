@@ -243,7 +243,7 @@ class TcpConnection:
         # so the FIN goes out synchronously as it always did).
         delay = self._fluid_horizon - self.sim.now
         if delay > 0:
-            self.sim.schedule(delay, self._emit_fin)
+            self.sim.call_later(delay, self._emit_fin)
         else:
             self._emit_fin()
 
@@ -269,7 +269,7 @@ class TcpConnection:
                       flags=frozenset({"FIN", "ACK"}))
         self._emit(fin, ACK_SIZE, self.features)
         backoff = min(self._rto * (2 ** (self._fin_tries - 1)), MAX_RTO)
-        self.sim.schedule(backoff, self._emit_fin)
+        self.sim.call_later(backoff, self._emit_fin)
 
     def abort(self) -> None:
         """Send a RST and tear down immediately."""
@@ -313,7 +313,7 @@ class TcpConnection:
                                 entropy=0.5))
         backoff = INITIAL_RTO * (2 ** (self._syn_tries - 1))
         version = self._bump_timer()
-        self.sim.schedule(backoff, lambda: self._on_syn_timer(version))
+        self.sim.call_later(backoff, self._on_syn_timer, version)
 
     def _on_syn_timer(self, version: int) -> None:
         if version != self._rto_timer_version or self.state != self.SYN_SENT:
@@ -473,7 +473,7 @@ class TcpConnection:
         version = self._bump_timer()
         if not self._in_flight:
             return
-        self.sim.schedule(self._rto, lambda: self._on_rto(version))
+        self.sim.call_later(self._rto, self._on_rto, version)
 
     def _on_rto(self, version: int) -> None:
         if version != self._rto_timer_version or not self._in_flight:
@@ -529,7 +529,7 @@ class TcpConnection:
         else:
             self._delack_version += 1
             version = self._delack_version
-            self.sim.schedule(0.04, lambda: self._on_delack_timer(version))
+            self.sim.call_later(0.04, self._on_delack_timer, version)
 
     def _on_delack_timer(self, version: int) -> None:
         if version != self._delack_version or self._unacked_segments == 0:

@@ -6,7 +6,7 @@ from repro.errors import TunnelError
 from repro.measure import Testbed
 from repro.middleware.vpn import NativeVpn, OpenVpn
 from repro.middleware.vpn.nat import NatTable
-from repro.net import IPv4Address, Packet
+from repro.net import IPv4Address, Packet, WireFeatures
 from repro.transport.tcp import Segment
 
 
@@ -40,6 +40,34 @@ def test_nat_tcp_roundtrip():
     restored = nat.inbound(reply)
     assert str(restored.dst) == "59.66.1.10"
     assert restored.payload.dport == 50000
+
+
+def test_nat_copies_keep_fields_and_get_fresh_ids():
+    nat = NatTable(IPv4Address("47.88.1.100"))
+    features = WireFeatures(protocol_tag="tls", sni="scholar.google.com")
+    inner = Packet(
+        src=IPv4Address("59.66.1.10"), dst=IPv4Address("172.217.194.80"),
+        protocol="tcp",
+        payload=Segment(50000, 443, seq=0, ack=0, flags=frozenset({"SYN"})),
+        size=52, features=features, ttl=40)
+    out = nat.outbound(inner)
+    assert out.packet_id != inner.packet_id
+    assert (out.dst, out.protocol, out.size, out.ttl, out.features) == (
+        inner.dst, "tcp", 52, 40, features)
+    assert out.flow == ("tcp", "47.88.1.100", out.payload.sport,
+                        "172.217.194.80", 443)
+
+    reply = Packet(
+        src=IPv4Address("172.217.194.80"), dst=IPv4Address("47.88.1.100"),
+        protocol="tcp",
+        payload=Segment(443, out.payload.sport, seq=0, ack=1,
+                        flags=frozenset({"SYN", "ACK"})),
+        size=52, ttl=50, flow=("tcp", "reply"))
+    restored = nat.inbound(reply)
+    assert restored.packet_id != reply.packet_id
+    assert str(restored.dst) == "59.66.1.10"
+    assert (restored.src, restored.size, restored.ttl, restored.flow) == (
+        reply.src, 52, 50, ("tcp", "reply"))
 
 
 def test_nat_reuses_mapping_per_flow():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError, RoutingError
-from repro.net import Network, Packet, PacketCapture, WireFeatures
+from repro.net import IPv4Address, Network, Packet, PacketCapture, WireFeatures
 from repro.sim import Simulator
 from repro.units import Mbps, ms
 
@@ -169,3 +169,118 @@ def test_encapsulation_roundtrip():
     assert not inner.is_tunneled
     with pytest.raises(TypeError):
         inner.inner()
+
+
+# -- hot-path pieces: hop copies, arrival entries, cached address text -----------------
+
+
+def test_hop_keeps_id_features_and_flow_and_lowers_ttl():
+    features = WireFeatures(protocol_tag="tls", sni="scholar.google.com")
+    packet = Packet(src=IPv4Address("10.0.0.1"), dst=IPv4Address("203.0.113.1"),
+                    protocol="tcp", payload="segment", size=140,
+                    features=features, ttl=9,
+                    flow=("tcp", "10.0.0.1", 50000, "203.0.113.1", 443))
+    forwarded = packet.hop()
+    assert forwarded is not packet
+    assert forwarded.ttl == 8 and packet.ttl == 9
+    assert forwarded.packet_id == packet.packet_id
+    assert forwarded.features is features
+    assert forwarded.flow == packet.flow
+    assert (forwarded.src, forwarded.dst, forwarded.protocol,
+            forwarded.payload, forwarded.size) == (
+        packet.src, packet.dst, packet.protocol, packet.payload, packet.size)
+
+
+def test_hop_draws_one_id_from_the_packet_id_stream():
+    """Forwarding consumes an id, so later packets' ids match older traces."""
+    packet = Packet(src=IPv4Address("10.0.0.1"), dst=IPv4Address("10.0.0.2"),
+                    protocol="udp", payload=None, size=64)
+    packet.hop()
+    after = Packet(src=packet.src, dst=packet.dst, protocol="udp",
+                   payload=None, size=64)
+    assert after.packet_id == packet.packet_id + 2
+
+
+def test_router_forwards_a_hop_copy_and_drops_at_ttl_zero():
+    sim, net, client, server = build_line()
+    received = []
+    server.deliver = lambda packet: received.append(packet)
+    sent = Packet(src=client.address, dst=server.address,
+                  protocol="udp", payload=None, size=64, ttl=3)
+    client.send(sent)
+    sim.run()
+    assert len(received) == 1
+    assert received[0].ttl == 1  # two routers, one hop each
+    assert received[0].packet_id == sent.packet_id
+    assert net.nodes["r1"].packets_forwarded == 1
+    assert net.nodes["r2"].packets_forwarded == 1
+
+    expired = Packet(src=client.address, dst=server.address,
+                     protocol="udp", payload=None, size=64, ttl=0)
+    net.nodes["r1"].forward(expired)
+    sim.run()
+    assert len(received) == 1
+    assert net.nodes["r1"].packets_forwarded == 1
+
+
+def test_copy_applies_changes_with_a_fresh_id():
+    packet = Packet(src=IPv4Address("59.66.1.10"), dst=IPv4Address("172.217.194.80"),
+                    protocol="tcp", payload="segment", size=52, ttl=17,
+                    features=WireFeatures(protocol_tag="tls"),
+                    flow=("tcp", "59.66.1.10", 50000, "172.217.194.80", 443))
+    rewritten = packet.copy(src=IPv4Address("47.88.1.100"), payload="nat")
+    assert rewritten.packet_id not in (packet.packet_id, None)
+    assert str(rewritten.src) == "47.88.1.100" and rewritten.payload == "nat"
+    assert (rewritten.dst, rewritten.protocol, rewritten.size, rewritten.ttl,
+            rewritten.features, rewritten.flow) == (
+        packet.dst, packet.protocol, packet.size, packet.ttl,
+        packet.features, packet.flow)
+    with pytest.raises(TypeError):
+        packet.copy(no_such_field=1)
+
+
+def test_transmit_from_a_node_not_on_the_link_raises():
+    _sim, net, client, server = build_line()
+    link = net.link_between("client", "r1")
+    with pytest.raises(NetworkError):
+        link.transmit(Packet(src=server.address, dst=client.address,
+                             protocol="udp", payload=None, size=64), server)
+    assert link.packets_sent == {"client": 0, "r1": 0}
+
+
+def test_arrival_and_timeout_at_one_instant_fire_in_insertion_order():
+    sim = Simulator()
+    net = Network(sim)
+    a = net.add_host("a", address="10.0.0.1")
+    b = net.add_host("b", address="10.0.0.2")
+    net.connect(a, b, latency=1.0, bandwidth=1e12)
+    net.build_routes()
+    fired = []
+    b.deliver = lambda packet: fired.append(f"packet-{packet.size}")
+    size = 1000  # serialization 1e-9 s: due at 1.000000001
+    due = 1.0 + size / 1e12
+    sim.timeout(due).add_callback(lambda _event: fired.append("before"))
+    a.send(Packet(src=a.address, dst=b.address, protocol="udp",
+                  payload=None, size=size))
+    sim.timeout(due).add_callback(lambda _event: fired.append("after"))
+    sim.call_later(due, fired.append, "call")
+    sim.run()
+    assert fired == ["before", f"packet-{size}", "after", "call"]
+
+
+def test_address_text_is_formatted_once_and_shared():
+    address = IPv4Address("203.0.113.7")
+    assert str(address) == "203.0.113.7"
+    assert str(address) is str(address)
+    assert str(IPv4Address(address)) is str(address)
+    assert str(IPv4Address(int(address))) == "203.0.113.7"
+
+
+def test_owns_matches_by_address_value():
+    sim = Simulator()
+    net = Network(sim)
+    host = net.add_host("h", address="10.0.0.1")
+    host.add_address("10.0.0.9")
+    assert host.owns(IPv4Address("10.0.0.9"))
+    assert host.owns(IPv4Address(int(IPv4Address("10.0.0.1"))))
+    assert not host.owns(IPv4Address("10.0.0.2"))

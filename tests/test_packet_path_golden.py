@@ -1,0 +1,192 @@
+"""Golden fixture for the packet data path (``net``, ``sim``, ``transport``).
+
+``test_perf_equivalence.py`` swaps only crypto, codec and DPI paths for
+their frozen references; both of its sides share the packet path, so a
+change there cannot show up in it.  This module pins the packet path
+itself against values recorded from a known-good tree:
+
+* three small points (packet ScholarCloud, packet Shadowsocks, hybrid
+  ``pdf``): sorted PLTs, per-link and per-router counters, GFW and TCP
+  counters, the number of kernel steps and the final clock;
+* the full ``TraceLog`` of a small lossy run, ``link.drop`` records and
+  their ``packet_id`` values included.  Packet ids come from one
+  process-wide counter, so the trace is taken in a fresh interpreter.
+
+Regenerate the fixture only after checking that a change to simulated
+behaviour is intended::
+
+    PYTHONPATH=src python tests/test_packet_path_golden.py --write
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import typing as t
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+FIXTURE = os.path.join(TESTS_DIR, "fixtures", "packet_path_golden.json")
+
+#: (label, method, clients, mode, workload) of the pinned points.
+POINTS = (
+    ("packet-scholarcloud", "scholarcloud", 6, "packet", "home"),
+    ("packet-shadowsocks", "shadowsocks", 6, "packet", "home"),
+    ("hybrid-pdf", "scholarcloud", 3, "hybrid", "pdf"),
+)
+#: (method, seed, baseline_loss, loads) of the lossy traced runs.
+LOSSY_RUNS = (("openvpn", 7, 0.08, 8), ("shadowsocks", 7, 0.08, 8),
+              ("scholarcloud", 7, 0.08, 8))
+
+
+def jsonable(value: t.Any) -> t.Any:
+    """``value`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(value, sort_keys=True, default=str))
+
+
+def observe_point(method: str, clients: int, mode: str,
+                  workload: str) -> t.Dict[str, t.Any]:
+    """Run one overload point and read every packet-path counter."""
+    from repro.measure import scenarios
+    from repro.sim.kernel import Simulator
+    from repro.transport.tcp import TcpConnection
+
+    worlds: t.List[t.Any] = []
+    series: t.List[t.List[float]] = []
+    connections: t.List[TcpConnection] = []
+    steps = [0]
+    prepare, summarize = scenarios.prepare, scenarios.summarize
+    step, conn_init = Simulator.step, TcpConnection.__init__
+
+    def keep_world(*args, **kwargs):
+        worlds.append(prepare(*args, **kwargs))
+        return worlds[-1]
+
+    def keep_series(values):
+        series.append(sorted(values))
+        return summarize(series[-1])
+
+    def counted_step(sim):
+        steps[0] += 1
+        return step(sim)
+
+    def kept_conn(conn, *args, **kwargs):
+        connections.append(conn)
+        conn_init(conn, *args, **kwargs)
+
+    with ExitStack() as patches:
+        for owner, attr, value in (
+                (scenarios, "prepare", keep_world),
+                (scenarios, "summarize", keep_series),
+                (Simulator, "step", counted_step),
+                (TcpConnection, "__init__", kept_conn)):
+            patches.enter_context(mock.patch.object(owner, attr, value))
+        result = scenarios.run_overload_point(
+            method, clients=clients, cycles=1, seed=11, mode=mode,
+            workload=workload)
+
+    testbed = worlds[0].testbed
+    links = {link.name: {"bytes_sent": link.bytes_sent,
+                         "packets_sent": link.packets_sent,
+                         "packets_dropped": link.packets_dropped}
+             for link in testbed.net.links}
+    forwarded = {name: node.packets_forwarded
+                 for name, node in testbed.net.nodes.items()
+                 if node.packets_forwarded}
+    transport = {
+        "connections": len(connections),
+        "packets_sent": sum(c.packets_sent for c in connections),
+        "bytes_sent": sum(c.bytes_sent for c in connections),
+        "bytes_received": sum(c.bytes_received for c in connections),
+        "retransmissions": sum(c.retransmissions for c in connections),
+    }
+    return jsonable({
+        "plts": series[0] if series else [],
+        "completed": result.completed,
+        "failed": result.failed,
+        "links": links,
+        "forwarded": forwarded,
+        "gfw": dataclasses.asdict(testbed.gfw.stats),
+        "transport": transport,
+        "steps": steps[0],
+        "now": testbed.sim.now,
+    })
+
+
+def lossy_trace() -> t.List[t.Any]:
+    """Every ``TraceLog`` record of the lossy runs, in emission order."""
+    from repro.measure.scenarios import prepare
+
+    runs = []
+    for method, seed, loss, loads in LOSSY_RUNS:
+        world = prepare(method, seed=seed, baseline_loss=loss)
+        testbed = world.testbed
+        for _ in range(loads):
+            testbed.run_process(world.browser.load(testbed.scholar_page))
+        runs.append([[record.time, record.category, record.fields]
+                     for record in testbed.trace.records])
+    return jsonable(runs)
+
+
+def lossy_trace_in_subprocess() -> t.List[t.Any]:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(TESTS_DIR), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [path for path in [env.get("PYTHONPATH")] if path])
+    output = subprocess.run(
+        [sys.executable, os.path.join(TESTS_DIR, os.path.basename(__file__)),
+         "--trace"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(output)
+
+
+def observe_all() -> t.Dict[str, t.Any]:
+    points = {label: observe_point(method, clients, mode, workload)
+              for label, method, clients, mode, workload in POINTS}
+    return {"points": points, "lossy_trace": lossy_trace_in_subprocess()}
+
+
+def load_fixture() -> t.Dict[str, t.Any]:
+    with open(FIXTURE, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+# -- tests ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("label, method, clients, mode, workload", POINTS,
+                         ids=[point[0] for point in POINTS])
+def test_point_matches_golden_counters(label, method, clients, mode, workload):
+    expected = load_fixture()["points"][label]
+    observed = observe_point(method, clients, mode, workload)
+    for key in expected:
+        assert observed[key] == expected[key], key
+    assert observed == expected
+
+
+def test_lossy_trace_matches_golden_records():
+    expected = load_fixture()["lossy_trace"]
+    observed = lossy_trace_in_subprocess()
+    assert [len(run) for run in observed] == [len(run) for run in expected]
+    drops = [record for run in observed for record in run
+             if record[1] == "link.drop"]
+    assert drops, "the lossy run must exercise link.drop"
+    for run_observed, run_expected in zip(observed, expected):
+        for index, (got, want) in enumerate(zip(run_observed, run_expected)):
+            assert got == want, f"record {index}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--trace"]:
+        json.dump(lossy_trace(), sys.stdout)
+    elif sys.argv[1:] == ["--write"]:
+        with open(FIXTURE, "w", encoding="utf-8") as handle:
+            json.dump(observe_all(), handle, sort_keys=True, indent=1)
+            handle.write("\n")
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --write | --trace")

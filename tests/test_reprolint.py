@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Analyzer, Severity, parse_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -18,44 +20,50 @@ SRC = REPO_ROOT / "src" / "repro"
 PYPROJECT = REPO_ROOT / "pyproject.toml"
 
 
-def _analyzer() -> Analyzer:
+@pytest.fixture(scope="module")
+def analyzer() -> Analyzer:
     return Analyzer(config=parse_config(PYPROJECT))
 
 
-def test_source_tree_is_clean():
-    findings = _analyzer().analyze_paths([SRC])
-    errors = [f for f in findings if f.severity is Severity.ERROR]
+@pytest.fixture(scope="module")
+def tree_findings(analyzer):
+    """One whole-tree pass, shared by every test that reads it."""
+    return analyzer.analyze_paths([SRC])
+
+
+def test_source_tree_is_clean(tree_findings):
+    errors = [f for f in tree_findings if f.severity is Severity.ERROR]
     assert errors == [], "unsuppressed reprolint findings:\n" + "\n".join(
         f.format() for f in errors)
 
 
-def test_reintroduced_link_seed_is_caught():
+def test_reintroduced_link_seed_is_caught(analyzer):
     """The exact violation this PR removed must stay detectable."""
     source = (SRC / "net" / "link.py").read_text()
     patched = source.replace(
         'rng if rng is not None else sim.rng.stream("link.loss")',
         "rng or random.Random(0)")
     assert patched != source, "link.py no longer contains the fixed fallback"
-    findings = _analyzer().analyze_source(
+    findings = analyzer.analyze_source(
         patched, path="src/repro/net/link.py", module="repro.net.link")
     assert any(f.rule == "det-seeded-random" for f in findings)
     finding = next(f for f in findings if f.rule == "det-seeded-random")
     assert finding.line > 0 and "random.Random(0)" in finding.message
 
 
-def test_reintroduced_firewall_seed_is_caught():
+def test_reintroduced_firewall_seed_is_caught(analyzer):
     source = (SRC / "gfw" / "firewall.py").read_text()
     patched = source.replace(
         'rng if rng is not None else sim.rng.stream("gfw.interference")',
         "rng or random.Random(0x67F)")
     assert patched != source
-    findings = _analyzer().analyze_source(
+    findings = analyzer.analyze_source(
         patched, path="src/repro/gfw/firewall.py", module="repro.gfw.firewall")
     assert any(f.rule == "det-seeded-random" for f in findings)
 
 
-def test_reintroduced_ambient_survey_random_is_caught():
-    findings = _analyzer().analyze_source(
+def test_reintroduced_ambient_survey_random_is_caught(analyzer):
+    findings = analyzer.analyze_source(
         "import random\n"
         "def sample():\n"
         "    return random.random()\n",

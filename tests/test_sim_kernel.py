@@ -260,3 +260,20 @@ def test_step_and_peek():
     assert sim.peek() == float("inf")
     with pytest.raises(SimulationError):
         sim.step()
+
+
+def test_call_later_runs_plain_call_in_insertion_order():
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0).add_callback(lambda _event: fired.append("timeout"))
+    sim.call_later(1.0, fired.append, "call")
+    sim.schedule(1.0, lambda: fired.append("schedule"))
+    sim.call_later(0.5, fired.append, "early")
+    sim.run()
+    assert fired == ["early", "timeout", "call", "schedule"]
+    assert sim.now == 1.0
+
+
+def test_call_later_negative_delay_rejected():
+    with pytest.raises(SimulationError):
+        Simulator().call_later(-1.0, print)
