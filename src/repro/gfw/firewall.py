@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..net import Direction, Link, Middlebox, Packet, Verdict
 from ..sim import Simulator, TraceLog
-from ..transport.tcp import ACK_SIZE, Segment
+from ..transport.tcp import ACK_SIZE, FLAGS_RST, Segment
 from .active_probing import ActiveProber
 from .blocklist import BlockPolicy
 from .dns_poisoning import DnsPoisoner
@@ -239,12 +239,12 @@ class GreatFirewall(Middlebox):
         to_receiver = Packet(
             src=packet.src, dst=packet.dst, protocol="tcp",
             payload=Segment(segment.sport, segment.dport, seq=segment.seq,
-                            ack=segment.ack, flags=frozenset({"RST"})),
+                            ack=segment.ack, flags=FLAGS_RST),
             size=ACK_SIZE, flow=packet.flow)
         to_sender = Packet(
             src=packet.dst, dst=packet.src, protocol="tcp",
             payload=Segment(segment.dport, segment.sport, seq=segment.ack,
-                            ack=segment.seq, flags=frozenset({"RST"})),
+                            ack=segment.seq, flags=FLAGS_RST),
             size=ACK_SIZE, flow=packet.flow)
         link.inject(to_receiver, toward=self._node_toward(link, packet.dst))
         link.inject(to_sender, toward=self._node_toward(link, packet.src))

@@ -134,8 +134,7 @@ class RelayedChannel(MessageChannel):
             self._inbox.put(meta)  # reprolint: disable=unbounded-queue
 
     def _fail_waiters(self, exc: Exception) -> None:
-        while self._inbox._getters:
-            self._inbox._getters.popleft().fail(type(exc)(str(exc)))
+        self._inbox.fail_getters(lambda: type(exc)(str(exc)))
 
 
 class ChannelStream(Stream):

@@ -73,10 +73,13 @@ def first_frame_features(password: str, host: str, port: int,
     """Wire features computed from genuine ciphertext.
 
     The length signature is the true first-frame length.  The entropy
-    figure is measured over a 2 KiB continuation of the same keystream
-    (a DPI box judges the stream, not just one short packet); if the
-    cipher were swapped for something weaker, the measured entropy —
-    and thus GFW detectability — would change with it.
+    figure is measured over the IV, the encrypted address header and a
+    continuation of the same keystream: 40 encrypted copies of a
+    request line, cut so the sample stays within 2 KiB (a DPI box
+    judges the stream, not just one short packet).  For
+    ``scholar.google.com`` that is 16 + 22 + 1,760 = 1,798 bytes.  If
+    the cipher were swapped for something weaker, the measured entropy
+    — and thus GFW detectability — would change with it.
     """
     iv = iv if iv is not None else derive_iv(password, host, port)
     cipher = CfbCipher(derive_key(password), iv)

@@ -211,6 +211,5 @@ class MeekChannel(MessageChannel):
 
     def _fail(self, exc: Exception) -> None:
         self._closed = True
-        while self._inbox._getters:
-            self._inbox._getters.popleft().fail(
-                MiddlewareError(f"meek transport failed: {exc}"))
+        self._inbox.fail_getters(
+            lambda: MiddlewareError(f"meek transport failed: {exc}"))

@@ -43,7 +43,7 @@ class NatTable:
         if packet.protocol == "tcp":
             segment: Segment = packet.payload
             nat_port = self._port_for(packet.protocol, packet.src, segment.sport)
-            rewritten = dataclasses.replace(segment, sport=nat_port)
+            rewritten = segment.copy(sport=nat_port)
             return packet.copy(src=self.public_addr, payload=rewritten,
                                flow=("tcp", str(self.public_addr), nat_port,
                                      str(packet.dst), segment.dport))
@@ -71,7 +71,7 @@ class NatTable:
             entry = self._by_nat.get(("tcp", segment.dport))
             if entry is None:
                 return None
-            rewritten = dataclasses.replace(segment, dport=entry.client_port)
+            rewritten = segment.copy(dport=entry.client_port)
             return packet.copy(dst=entry.client_addr, payload=rewritten)
         if packet.protocol == "udp":
             datagram = packet.payload

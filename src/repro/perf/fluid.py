@@ -270,7 +270,7 @@ class FluidRegistry:
             return self._fallback("epoch-change")
         wire = features if features is not None else conn.features
         if wire.plaintext or wire.handshake:
-            if not getattr(conn, "_sc_cache_served", False):
+            if not conn.edge_cache_served:
                 # Keyword filtering / DPI fingerprinting need these packets.
                 return self._fallback("inspectable")
             # Edge-cache hit stream: the only inspectable content on

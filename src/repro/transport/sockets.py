@@ -13,7 +13,7 @@ import typing as t
 from ..errors import TransportError
 from ..net import Host, IP_HEADER, IPv4Address, Packet, WireFeatures
 from ..sim import Event, Simulator
-from .tcp import ACK_SIZE, Segment, TcpConnection
+from .tcp import ACK_SIZE, FLAGS_RST, Segment, TcpConnection
 
 #: ICMP echo packet size (IP header + ICMP header + payload).
 PING_SIZE = IP_HEADER + 8 + 56
@@ -206,7 +206,7 @@ class TransportLayer:
     def _refuse(self, packet: Packet, segment: Segment) -> None:
         """No listener: answer with a RST, as real stacks do."""
         rst = Segment(segment.dport, segment.sport, seq=0, ack=0,
-                      flags=frozenset({"RST"}))
+                      flags=FLAGS_RST)
         reply = Packet(
             src=packet.dst, dst=packet.src, protocol="tcp",
             payload=rst, size=ACK_SIZE,

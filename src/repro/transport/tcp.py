@@ -65,25 +65,76 @@ class Message:
     features: t.Optional[WireFeatures] = None
 
 
-@dataclass
-class Segment:
-    """TCP segment carried as a packet payload."""
+#: Flag sets, shared by every segment that carries them.
+FLAGS_SYN = frozenset({"SYN"})
+FLAGS_SYN_ACK = frozenset({"SYN", "ACK"})
+FLAGS_ACK = frozenset({"ACK"})
+FLAGS_FIN_ACK = frozenset({"FIN", "ACK"})
+FLAGS_RST = frozenset({"RST"})
 
-    sport: int
-    dport: int
-    seq: int
-    ack: int
-    flags: t.FrozenSet[str]
-    length: int = 0
-    # (end_offset, meta) pairs for app messages ending inside this segment.
-    message_ends: t.Tuple[t.Tuple[int, t.Any], ...] = ()
+
+class Segment:
+    """TCP segment carried as a packet payload.
+
+    A hand-written ``__slots__`` class rather than a dataclass (Python
+    3.9 has no ``dataclass(slots=True)``): one is built for every
+    segment sent, and in-flight tables keep them until acknowledged.
+    """
+
+    __slots__ = ("sport", "dport", "seq", "ack", "flags", "length",
+                 "message_ends")
+
+    def __init__(
+        self,
+        sport: int,
+        dport: int,
+        seq: int,
+        ack: int,
+        flags: t.FrozenSet[str],
+        length: int = 0,
+        # (end_offset, meta) pairs for app messages ending inside this segment.
+        message_ends: t.Tuple[t.Tuple[int, t.Any], ...] = (),
+    ) -> None:
+        self.sport = sport
+        self.dport = dport
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.length = length
+        self.message_ends = message_ends
 
     def wire_size(self) -> int:
         return IP_HEADER + TCP_HEADER + self.length
 
+    def copy(self, **changes: t.Any) -> "Segment":
+        """A shallow copy with ``changes`` applied (NAT port rewrites)."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return Segment(**fields)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"Segment({self.sport}->{self.dport} seq={self.seq} "
+                f"ack={self.ack} {sorted(self.flags)} len={self.length})")
+
+
+def _drop_through(entries: t.List[t.Tuple[int, t.Any]], acked: int) -> None:
+    """Delete the leading entries whose end offset is at or below ``acked``."""
+    count = 0
+    for end_offset, _value in entries:
+        if end_offset > acked:
+            break
+        count += 1
+    if count:
+        del entries[:count]
+
 
 class _SendBuffer:
-    """Outgoing byte stream with message boundaries."""
+    """Outgoing byte stream with the message boundaries not yet acknowledged.
+
+    Offsets only grow, so both lists stay sorted by end offset.
+    """
+
+    __slots__ = ("length", "_boundaries", "_features")
 
     def __init__(self) -> None:
         self.length = 0  # total bytes ever enqueued
@@ -106,6 +157,17 @@ class _SendBuffer:
                 return features
         return None
 
+    def release(self, acked: int) -> None:
+        """Forget boundaries and features at or below offset ``acked``.
+
+        Exact for every later ``ends_in(start, ...)`` and
+        ``features_for(start)`` with ``start >= acked``: both only
+        match entries that end past ``start``.  The sender guarantees
+        that bound, since it never transmits below ``snd_una``.
+        """
+        _drop_through(self._boundaries, acked)
+        _drop_through(self._features, acked)
+
     def skip(self, length: int) -> None:
         """Account ``length`` bytes carried out-of-band (fluid fast path).
 
@@ -115,15 +177,42 @@ class _SendBuffer:
         self.length += length
 
 
-@dataclass
 class _InFlight:
-    segment: Segment
-    sent_at: float
-    retransmitted: bool = False
+    __slots__ = ("segment", "sent_at", "retransmitted")
+
+    def __init__(self, segment: Segment, sent_at: float) -> None:
+        self.segment = segment
+        self.sent_at = sent_at
+        self.retransmitted = False
 
 
 class TcpConnection:
-    """One endpoint of an established (or establishing) TCP connection."""
+    """One endpoint of an established (or establishing) TCP connection.
+
+    Slotted: a world keeps every connection it ever opened (see
+    DESIGN.md, *Performance model*), so per-connection size sets the
+    memory of large runs.
+    """
+
+    __slots__ = (
+        "transport", "sim", "local_addr", "local_port", "remote_addr",
+        "remote_port", "features", "state", "edge_cache_served",
+        # Sender.
+        "_send_buffer", "_snd_una", "_snd_nxt", "_cwnd", "_ssthresh",
+        "_dup_acks", "_in_flight",
+        # RTO estimation and handshake.
+        "_srtt", "_rttvar", "_rto", "_rto_timer_version", "_syn_sent_at",
+        "_syn_tries", "_connect_event",
+        # Receiver, orderly close and delayed ACKs.
+        "_rcv_nxt", "_ooo", "_pending_ends", "_inbox", "_peer_closed",
+        "_fin_seq", "_fin_acked", "_fin_tries", "_unacked_segments",
+        "_delack_version",
+        # Accounting.
+        "bytes_sent", "bytes_received", "packets_sent", "retransmissions",
+        # Fluid fast path.
+        "_fluid_horizon", "_fluid_pending", "_fluid_block", "_fluid_epoch",
+        "_fluid_peer", "_fluid_path",
+    )
 
     # Connection states.
     SYN_SENT = "SYN_SENT"
@@ -150,6 +239,10 @@ class TcpConnection:
         #: Default wire features for data segments of this connection.
         self.features = features or WireFeatures()
         self.state = self.CLOSED
+        #: Set by the domestic proxy's edge cache once it has served a
+        #: hit on this connection; the fluid fast path then waives the
+        #: inspectable-content check for its sends.
+        self.edge_cache_served = False
 
         # Sender state.
         self._send_buffer = _SendBuffer()
@@ -266,7 +359,7 @@ class TcpConnection:
             self.retransmissions += 1
         fin = Segment(self.local_port, self.remote_port,
                       seq=self._fin_seq, ack=self._rcv_nxt,
-                      flags=frozenset({"FIN", "ACK"}))
+                      flags=FLAGS_FIN_ACK)
         self._emit(fin, ACK_SIZE, self.features)
         backoff = min(self._rto * (2 ** (self._fin_tries - 1)), MAX_RTO)
         self.sim.call_later(backoff, self._emit_fin)
@@ -277,7 +370,7 @@ class TcpConnection:
             return
         rst = Segment(self.local_port, self.remote_port,
                       seq=self._snd_nxt, ack=self._rcv_nxt,
-                      flags=frozenset({"RST"}))
+                      flags=FLAGS_RST)
         self._emit(rst, ACK_SIZE, self.features)
         self._enter_reset(local=True)
 
@@ -306,7 +399,7 @@ class TcpConnection:
         self._syn_tries += 1
         self._syn_sent_at = self.sim.now
         syn = Segment(self.local_port, self.remote_port, seq=0, ack=0,
-                      flags=frozenset({"SYN"}))
+                      flags=FLAGS_SYN)
         self._emit(syn, SYN_SIZE,
                    WireFeatures(protocol_tag=self.features.protocol_tag,
                                 sni=self.features.sni, handshake=True,
@@ -331,7 +424,7 @@ class TcpConnection:
         """Server side: a SYN arrived; reply SYN+ACK."""
         self.state = self.SYN_RCVD
         synack = Segment(self.local_port, self.remote_port, seq=0, ack=0,
-                         flags=frozenset({"SYN", "ACK"}))
+                         flags=FLAGS_SYN_ACK)
         self._emit(synack, SYN_SIZE,
                    WireFeatures(protocol_tag=self.features.protocol_tag,
                                 handshake=True, entropy=0.5))
@@ -344,7 +437,7 @@ class TcpConnection:
             self._enter_reset(local=False)
             return
         if self.state == self.SYN_SENT:
-            if segment.flags >= {"SYN", "ACK"}:
+            if segment.flags >= FLAGS_SYN_ACK:
                 self._establish_client(segment)
             return
         if self.state == self.SYN_RCVD:
@@ -374,7 +467,7 @@ class TcpConnection:
                 # lost FIN-ack.
                 fin_ack = Segment(self.local_port, self.remote_port,
                                   seq=self._snd_nxt, ack=segment.seq + 1,
-                                  flags=frozenset({"ACK"}))
+                                  flags=FLAGS_ACK)
                 self._emit(fin_ack, ACK_SIZE, self.features)
 
     def _establish_client(self, segment: Segment) -> None:
@@ -407,7 +500,7 @@ class TcpConnection:
         segment = Segment(
             self.local_port, self.remote_port,
             seq=start, ack=self._rcv_nxt,
-            flags=frozenset({"ACK"}),
+            flags=FLAGS_ACK,
             length=length,
             message_ends=self._send_buffer.ends_in(start, start + length),
         )
@@ -428,10 +521,12 @@ class TcpConnection:
             self._fin_acked = True  # EOF confirmed delivered
         if ack > self._snd_una:
             # New data acknowledged.
-            newly_acked = [seq for seq in self._in_flight if seq + self._in_flight[seq].segment.length <= ack]
+            in_flight = self._in_flight
+            newly_acked = [seq for seq, entry in in_flight.items()
+                           if seq + entry.segment.length <= ack]
             samples = []
             for seq in newly_acked:
-                entry = self._in_flight.pop(seq)
+                entry = in_flight.pop(seq)
                 if not entry.retransmitted:
                     samples.append(self.sim.now - entry.sent_at)
                 # Congestion window growth.
@@ -446,7 +541,12 @@ class TcpConnection:
                 # honest path-RTT measurement, akin to what TCP
                 # timestamps give real stacks.
                 self._update_rtt(min(samples))
+            if not in_flight:
+                # A dict keeps its peak table size after its entries
+                # are popped; an idle connection should hold none.
+                self._in_flight = {}
             self._snd_una = ack
+            self._send_buffer.release(ack)
             self._dup_acks = 0
             # Forward progress cancels exponential RTO backoff (RFC 6298
             # §5.7 behaviour): re-derive the timeout from the estimator.
@@ -556,7 +656,7 @@ class TcpConnection:
         self._delack_version += 1
         ack = Segment(self.local_port, self.remote_port,
                       seq=self._snd_nxt, ack=self._rcv_nxt,
-                      flags=frozenset({"ACK"}))
+                      flags=FLAGS_ACK)
         self._emit(ack, ACK_SIZE, self.features)
 
     # -- plumbing ---------------------------------------------------------------------------
@@ -580,10 +680,7 @@ class TcpConnection:
             f"{self.flow}: reset {'locally' if local else 'by peer or on-path injection'}")
         if self._connect_event and not self._connect_event.triggered:
             self._connect_event.fail(error)
-        # Fail all blocked receivers.
-        while self._inbox._getters:
-            getter = self._inbox._getters.popleft()
-            getter.fail(ConnectionReset(str(error)))
+        self._inbox.fail_getters(lambda: ConnectionReset(str(error)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TcpConnection {self.local_addr}:{self.local_port}"

@@ -10,7 +10,11 @@ itself against values recorded from a known-good tree:
   counters, the number of kernel steps and the final clock;
 * the full ``TraceLog`` of a small lossy run, ``link.drop`` records and
   their ``packet_id`` values included.  Packet ids come from one
-  process-wide counter, so the trace is taken in a fresh interpreter.
+  process-wide counter, so the trace is taken in a fresh interpreter;
+* a hybrid repeated-query point with the edge cache and admission
+  control on: PLT series, outcome counts, border bytes, cache and
+  admission counters, fluid counters and how many connections the
+  edge cache served hits on.
 
 Regenerate the fixture only after checking that a change to simulated
 behaviour is intended::
@@ -26,7 +30,7 @@ import os
 import subprocess
 import sys
 import typing as t
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -43,6 +47,10 @@ POINTS = (
 #: (method, seed, baseline_loss, loads) of the lossy traced runs.
 LOSSY_RUNS = (("openvpn", 7, 0.08, 8), ("shadowsocks", 7, 0.08, 8),
               ("scholarcloud", 7, 0.08, 8))
+#: (clients, seed, max_sessions) of the pinned edge-cache point: past
+#: its admission cap, so it sheds, serves hits and carries hit streams
+#: on the fluid fast path.
+CACHE_POINT = (24, 5, 12)
 
 
 def jsonable(value: t.Any) -> t.Any:
@@ -50,34 +58,41 @@ def jsonable(value: t.Any) -> t.Any:
     return json.loads(json.dumps(value, sort_keys=True, default=str))
 
 
-def observe_point(method: str, clients: int, mode: str,
-                  workload: str) -> t.Dict[str, t.Any]:
-    """Run one overload point and read every packet-path counter."""
+class Recorder:
+    """What one scenario run built: worlds, PLT series, connections, steps."""
+
+    def __init__(self) -> None:
+        self.worlds: t.List[t.Any] = []
+        self.series: t.List[t.List[float]] = []
+        self.connections: t.List[t.Any] = []
+        self.steps = 0
+
+
+@contextmanager
+def recording() -> t.Iterator[Recorder]:
+    """Patch the scenario helpers, kernel and TCP to record a run."""
     from repro.measure import scenarios
     from repro.sim.kernel import Simulator
     from repro.transport.tcp import TcpConnection
 
-    worlds: t.List[t.Any] = []
-    series: t.List[t.List[float]] = []
-    connections: t.List[TcpConnection] = []
-    steps = [0]
+    seen = Recorder()
     prepare, summarize = scenarios.prepare, scenarios.summarize
     step, conn_init = Simulator.step, TcpConnection.__init__
 
     def keep_world(*args, **kwargs):
-        worlds.append(prepare(*args, **kwargs))
-        return worlds[-1]
+        seen.worlds.append(prepare(*args, **kwargs))
+        return seen.worlds[-1]
 
     def keep_series(values):
-        series.append(sorted(values))
-        return summarize(series[-1])
+        seen.series.append(sorted(values))
+        return summarize(seen.series[-1])
 
     def counted_step(sim):
-        steps[0] += 1
+        seen.steps += 1
         return step(sim)
 
     def kept_conn(conn, *args, **kwargs):
-        connections.append(conn)
+        seen.connections.append(conn)
         conn_init(conn, *args, **kwargs)
 
     with ExitStack() as patches:
@@ -87,11 +102,21 @@ def observe_point(method: str, clients: int, mode: str,
                 (Simulator, "step", counted_step),
                 (TcpConnection, "__init__", kept_conn)):
             patches.enter_context(mock.patch.object(owner, attr, value))
+        yield seen
+
+
+def observe_point(method: str, clients: int, mode: str,
+                  workload: str) -> t.Dict[str, t.Any]:
+    """Run one overload point and read every packet-path counter."""
+    from repro.measure import scenarios
+
+    with recording() as seen:
         result = scenarios.run_overload_point(
             method, clients=clients, cycles=1, seed=11, mode=mode,
             workload=workload)
 
-    testbed = worlds[0].testbed
+    testbed = seen.worlds[0].testbed
+    connections = seen.connections
     links = {link.name: {"bytes_sent": link.bytes_sent,
                          "packets_sent": link.packets_sent,
                          "packets_dropped": link.packets_dropped}
@@ -107,15 +132,51 @@ def observe_point(method: str, clients: int, mode: str,
         "retransmissions": sum(c.retransmissions for c in connections),
     }
     return jsonable({
-        "plts": series[0] if series else [],
+        "plts": seen.series[0] if seen.series else [],
         "completed": result.completed,
         "failed": result.failed,
         "links": links,
         "forwarded": forwarded,
         "gfw": dataclasses.asdict(testbed.gfw.stats),
         "transport": transport,
-        "steps": steps[0],
+        "steps": seen.steps,
         "now": testbed.sim.now,
+    })
+
+
+def observe_cache_point() -> t.Dict[str, t.Any]:
+    """Run the hybrid edge-cache point and read its counters."""
+    from repro.cache import CacheConfig
+    from repro.measure import scenarios
+    from repro.overload import OverloadConfig
+
+    clients, seed, max_sessions = CACHE_POINT
+    with recording() as seen:
+        result = scenarios.run_repeated_query_point(
+            "scholarcloud", clients=clients, cycles=1, seed=seed,
+            cache=CacheConfig(),
+            overload=OverloadConfig(max_sessions=max_sessions, max_waiting=4,
+                                    queue_delay_threshold=2.0,
+                                    cache_bypass=True),
+            mode="hybrid")
+
+    cache = result.cache
+    return jsonable({
+        # Hit loads (when any load was all hits), miss loads, every load.
+        "plt_series": seen.series,
+        "completed": result.completed,
+        "failed": result.failed,
+        "client_sheds": result.client_sheds,
+        "border_bytes": result.transpacific_bytes,
+        "cache": {"hits": cache.hits, "misses": cache.misses,
+                  "event_digest": cache.event_digest},
+        "admission": {"offered": result.report.offered,
+                      "admitted": result.report.admitted,
+                      "shed": result.report.shed},
+        "fluid": dataclasses.asdict(seen.worlds[0].testbed.sim.fluid.stats),
+        "connections": len(seen.connections),
+        "edge_served_connections": sum(
+            1 for conn in seen.connections if conn.edge_cache_served),
     })
 
 
@@ -149,7 +210,8 @@ def lossy_trace_in_subprocess() -> t.List[t.Any]:
 def observe_all() -> t.Dict[str, t.Any]:
     points = {label: observe_point(method, clients, mode, workload)
               for label, method, clients, mode, workload in POINTS}
-    return {"points": points, "lossy_trace": lossy_trace_in_subprocess()}
+    return {"points": points, "lossy_trace": lossy_trace_in_subprocess(),
+            "cache_point": observe_cache_point()}
 
 
 def load_fixture() -> t.Dict[str, t.Any]:
@@ -179,6 +241,16 @@ def test_lossy_trace_matches_golden_records():
     for run_observed, run_expected in zip(observed, expected):
         for index, (got, want) in enumerate(zip(run_observed, run_expected)):
             assert got == want, f"record {index}"
+
+
+def test_cache_point_matches_golden_counters():
+    expected = load_fixture()["cache_point"]
+    observed = observe_cache_point()
+    assert expected["cache"]["hits"] > 0
+    assert expected["edge_served_connections"] > 0
+    for key in expected:
+        assert observed[key] == expected[key], key
+    assert observed == expected
 
 
 if __name__ == "__main__":
