@@ -248,11 +248,10 @@ class DomesticProxy:
 
     def _reject(self, conn: TcpConnection, reason: str) -> None:
         """Fast 503-style rejection: tell the browser, then hang up."""
-        fluid = getattr(self.sim, "fluid", None)
-        if fluid is not None:
+        if self.sim.fluid is not None:
             # A shed/expired session must not ride the fast path out:
             # the rejection and teardown happen at packet level.
-            fluid.defluidize(conn, reason)
+            self.sim.fluid.defluidize(conn, reason)
         try:
             conn.send_message(32, meta=("sc-overload", reason))
         except TransportError:
@@ -478,10 +477,6 @@ class DomesticProxy:
                         response = replace(cached, from_cache=True)
                         out_meta: t.Any = (("tls-app", response) if wrapped
                                            else response)
-                        # Mark for the fluid layer: this stream is
-                        # locally terminated, so its plaintext CONNECT
-                        # features no longer gate the fast path.
-                        conn.edge_cache_served = True
                         yield self.cpu.submit(PER_BYTE_DEMAND * out_len)
                         if not self._edge_send(conn, out_len, out_meta):
                             return

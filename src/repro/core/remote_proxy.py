@@ -177,10 +177,9 @@ class RemoteProxy:
             # Nobody is waiting for this answer any more; don't spend
             # CPU or a target dial on it.
             self.deadline_drops += 1
-            fluid = getattr(self.sim, "fluid", None)
-            if fluid is not None:
+            if self.sim.fluid is not None:
                 # The error answer and teardown stay at packet level.
-                fluid.defluidize(conn, "expired")
+                self.sim.fluid.defluidize(conn, "expired")
             self._send_error(conn)
             conn.close()
             return
@@ -188,10 +187,9 @@ class RemoteProxy:
         if self.limiter is not None:
             if not self.limiter.try_acquire():
                 self.streams_shed += 1
-                fluid = getattr(self.sim, "fluid", None)
-                if fluid is not None:
+                if self.sim.fluid is not None:
                     # Shed streams answer and tear down at packet level.
-                    fluid.defluidize(conn, "shed")
+                    self.sim.fluid.defluidize(conn, "shed")
                 self._send_error(conn)
                 conn.close()
                 return

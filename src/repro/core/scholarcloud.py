@@ -184,13 +184,12 @@ class ScholarCloud(AccessMethod):
         testbed = self.testbed
         registry: t.Optional[CacheRegistry] = None
         if self.cache_config is not None:
-            registry = getattr(testbed.sim, "caches", None)
+            registry = testbed.sim.caches
             if registry is None:
                 registry = CacheRegistry(testbed.sim).install()
         if not self.remotes:
-            remote_vms = getattr(testbed, "remote_vms", [testbed.remote_vm])
-            remote_cpus = getattr(testbed, "remote_cpus", [testbed.remote_cpu])
-            for index, (vm, cpu) in enumerate(zip(remote_vms, remote_cpus)):
+            for index, (vm, cpu) in enumerate(zip(testbed.remote_vms,
+                                                  testbed.remote_cpus)):
                 resolver = StubResolver(testbed.sim, vm,
                                         upstream=GOOGLE_DNS_ADDR, port=5362)
                 tier2: t.Optional[ResponseCache] = None
@@ -270,11 +269,10 @@ class ScholarCloud(AccessMethod):
     def rotate_blinding(self) -> int:
         """Arms-race response: both proxies jump to a fresh codec epoch."""
         self.agility.rotate()
-        fluid = getattr(self.testbed.sim, "fluid", None)
-        if fluid is not None:
+        if self.testbed.sim.fluid is not None:
             # Blinded legs calibrated under the old codec epoch must
             # re-prove themselves against the GFW at packet level.
-            fluid.defluidize_all("blinding-rotation")
+            self.testbed.sim.fluid.defluidize_all("blinding-rotation")
         for cache in ([self.cache] if self.cache is not None else []) \
                 + self.remote_caches:
             # Entries are keyed by epoch, so stale hits are impossible

@@ -115,7 +115,7 @@ class ProxyFleet:
         if not self.launched:
             registry: t.Optional[CacheRegistry] = None
             if self.cache_config is not None:
-                registry = getattr(sim, "caches", None)
+                registry = sim.caches
                 if registry is None:
                     registry = CacheRegistry(sim).install()
             for pop, cpu in zip(testbed.pops, testbed.pop_cpus):

@@ -25,10 +25,11 @@ import hashlib
 import typing as t
 from dataclasses import dataclass
 
-from ..cache import CacheConfig
+from ..cache import CacheConfig, ZipfSampler, query_corpus
 from ..errors import MeasurementError
-from ..http import Browser
+from ..http import scholar_pdf
 from ..measure.metrics import CacheReport, availability_over_time
+from ..measure.scenarios import _closed_loop
 from ..perf.runner import SweepPoint, run_points
 from .chaos import FleetSchedule
 from .proxy import ProxyFleet
@@ -36,8 +37,6 @@ from .regions import region_by_name
 from .report import FleetReport, RegionReport
 from .testbed import FleetTestbed
 
-#: Seconds between successive loads per client (matches §4.2's cadence).
-MEASUREMENT_INTERVAL = 60.0
 #: Availability bucket width used by fleet reports.
 REPORT_BUCKET = 30.0
 
@@ -130,48 +129,35 @@ def run_fleet_region_point(
     else:
         injector = None
 
-    pick_page: t.Callable[[], t.Any]
+    warmup = testbed.scholar_page
+    cycle_pages: t.Callable[[], t.Iterable[t.Any]]
     if workload == "home":
-        pick_page = lambda: testbed.scholar_page
+        cycle_pages = lambda: (warmup,)
     elif workload == "pdf":
-        from ..http import scholar_pdf
-        page = scholar_pdf()
-        testbed.scholar_server.add_page(page)
-        pick_page = lambda: page
+        pdf = warmup = scholar_pdf()
+        testbed.scholar_server.add_page(pdf)
+        cycle_pages = lambda: (pdf,)
     elif workload == "queries":
-        from ..cache import DEFAULT_ZIPF_S, ZipfSampler, query_corpus
         corpus = query_corpus()
         for query_page in corpus:
             testbed.scholar_server.add_page(query_page)
-        sampler = ZipfSampler(len(corpus), s=DEFAULT_ZIPF_S)
+        sampler = ZipfSampler(len(corpus))
         zipf_rng = testbed.rng.stream("cache.zipf")
-        pick_page = lambda: corpus[sampler.sample(zipf_rng)]
+        cycle_pages = lambda: (corpus[sampler.sample(zipf_rng)],)
     else:
         raise MeasurementError(f"unknown workload {workload!r}")
+
+    def attach(host):
+        """Generator: a connector on ``region``'s entrypoint, no events."""
+        return fleet.connector(region, host=host)
+        yield  # pragma: no cover - attachment is configuration-only
+
     samples: t.List[t.Tuple[float, bool]] = []
-
-    def client_loop(sim, host, offset):
-        connector = fleet.connector(region, host=host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}")
-        yield sim.timeout(offset)
-        # Warm-up load: populate caches/tickets, then measure.
-        yield sim.process(browser.load(testbed.scholar_page
-                                       if workload == "queries"
-                                       else pick_page()))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            result = yield sim.process(browser.load(pick_page()))
-            samples.append((sim.now, result.succeeded))
-
-    rng = testbed.rng.stream("fleet.offsets")
-    region_obj = testbed.region(region)
-    processes = []
-    for index, host in enumerate(region_obj.extra_clients[:clients]):
-        offset = rng.uniform(0.0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset),
-            name=f"fleet-load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
+    _closed_loop(testbed.sim, testbed.region(region).extra_clients[:clients],
+                 testbed.rng.stream("fleet.offsets"), "fleet-load-", attach,
+                 warmup, cycles, cycle_pages,
+                 lambda result: samples.append((testbed.sim.now,
+                                                result.succeeded)))
 
     router = fleet.router
     assert router is not None

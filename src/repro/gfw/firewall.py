@@ -115,16 +115,14 @@ class GreatFirewall(Middlebox):
         """
         mutation(self)
         self._dispatch_snapshot = None  # mutation may have swapped classifiers
-        fluid = getattr(self.sim, "fluid", None)
-        if fluid is not None:
+        if self.sim.fluid is not None:
             # Fluidized flows were vetted against the *old* policy;
             # force them back to packet level to re-prove themselves.
-            fluid.on_policy_change(label)
-        caches = getattr(self.sim, "caches", None)
-        if caches is not None:
+            self.sim.fluid.on_policy_change(label)
+        if self.sim.caches is not None:
             # Cached responses were fetched under the *old* policy; a
             # change in what is reachable must not be masked by a hit.
-            caches.on_policy_change(label)
+            self.sim.caches.on_policy_change(label)
         self.policy_log.append((self.sim.now, label))
         self._trace_plain("gfw.policy-change", label=label)
 
@@ -290,12 +288,10 @@ class GreatFirewall(Middlebox):
 
     def _on_probe_confirm(self, address: str) -> None:
         self.policy.block_ip(address)
-        fluid = getattr(self.sim, "fluid", None)
-        if fluid is not None:
-            fluid.on_policy_change("probe-confirmed")
-        caches = getattr(self.sim, "caches", None)
-        if caches is not None:
-            caches.on_policy_change("probe-confirmed")
+        if self.sim.fluid is not None:
+            self.sim.fluid.on_policy_change("probe-confirmed")
+        if self.sim.caches is not None:
+            self.sim.caches.on_policy_change("probe-confirmed")
         self._trace_plain("gfw.probe-confirmed", address=address)
 
     # -- tracing -------------------------------------------------------------------------------

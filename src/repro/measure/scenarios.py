@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..core import ScholarCloud
 from ..errors import MeasurementError
-from ..http import Browser
+from ..http import Browser, PageLoadResult, scholar_pdf
 from ..middleware import (
     DirectMethod,
     NativeVpn,
@@ -24,7 +24,7 @@ from ..middleware import (
     ShadowsocksMethod,
     TorMethod,
 )
-from ..cache import CacheConfig
+from ..cache import DEFAULT_CORPUS, CacheConfig, ZipfSampler, query_corpus
 from ..faults import FaultSchedule, standard_fault_script
 from ..overload import OverloadConfig
 from .metrics import (
@@ -332,6 +332,44 @@ def run_fault_experiment(method: str, attempts: int = 18,
 CONCURRENCY_LEVELS = (5, 15, 30, 60, 90, 120, 150, 180)
 
 
+def _closed_loop(sim, hosts: t.Sequence[t.Any], offsets, prefix: str,
+                 attach: t.Callable[[t.Any], t.Generator],
+                 warmup, cycles: int,
+                 cycle_pages: t.Callable[[], t.Iterable[t.Any]],
+                 record: t.Callable[[PageLoadResult], None],
+                 think_time: float = 0.0,
+                 total_deadline: t.Optional[float] = None) -> None:
+    """Run ``hosts`` as concurrent closed-loop browsers (§4.3's loop).
+
+    Each client's start offset is drawn from ``offsets`` before any
+    process starts; its process is named ``<prefix><index>``.  A
+    client attaches (``attach(host)`` is a generator returning a
+    connector), waits its offset, loads ``warmup``, then ``cycles``
+    times waits :data:`MEASUREMENT_INTERVAL` and loads the pages
+    ``cycle_pages()`` yields, each followed by ``think_time`` seconds
+    when that is non-zero.  Every measured load goes to ``record``.
+    Runs until all clients finish.
+    """
+    def client(host, offset):
+        connector = yield from attach(host)
+        browser = Browser(sim, connector, name=f"browser-{host.name}",
+                          total_deadline=total_deadline)
+        yield sim.timeout(offset)
+        # Warm-up: populate pools, tickets and caches, then measure.
+        yield sim.process(browser.load(warmup))
+        for _ in range(cycles):
+            yield sim.timeout(MEASUREMENT_INTERVAL)
+            for page in cycle_pages():
+                record((yield sim.process(browser.load(page))))
+                if think_time:
+                    yield sim.timeout(think_time)
+
+    starts = [offsets.uniform(0, MEASUREMENT_INTERVAL) for _ in hosts]
+    processes = [sim.process(client(host, offset), name=f"{prefix}{index}")
+                 for index, (host, offset) in enumerate(zip(hosts, starts))]
+    sim.run(until=sim.all_of(processes))
+
+
 def run_scalability_point(method: str, clients: int, cycles: int = 3,
                           seed: int = 0, mode: str = "packet") -> Summary:
     """Mean PLT with ``clients`` concurrent browsers (one Figure 7 point).
@@ -340,33 +378,11 @@ def run_scalability_point(method: str, clients: int, cycles: int = 3,
     ``fluid``, see :mod:`repro.perf.fluid`); ``packet`` is the
     byte-identical default.
     """
-    world = prepare(method, seed=seed, extra_clients=clients, fluid=mode)
-    testbed = world.testbed
-    plts: t.List[float] = []
-    done: t.List[t.Any] = []
-
-    def client_loop(sim, host, offset):
-        connector = yield from world.method.attach_client(host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}")
-        yield sim.timeout(offset)
-        # Warm-up: populate caches, then measure.
-        yield sim.process(browser.load(testbed.scholar_page))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            result = yield sim.process(browser.load(testbed.scholar_page))
-            if result.succeeded:
-                plts.append(result.plt)
-
-    rng = testbed.rng.stream("scalability-offsets")
-    processes = []
-    for index, host in enumerate(testbed.extra_clients[:clients]):
-        offset = rng.uniform(0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset), name=f"load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
-    if not plts:
+    plt = run_overload_point(method, clients=clients, cycles=cycles,
+                             seed=seed, mode=mode).plt
+    if plt is None:
         raise MeasurementError(f"{method}: no scalability samples")
-    return summarize(plts)
+    return plt
 
 
 # -- Overload: the Figure 7 sweep past its knee -----------------------------------------------
@@ -413,59 +429,110 @@ def run_overload_point(method: str = "scholarcloud", clients: int = 60,
                        ) -> OverloadResult:
     """One extended-Figure-7 point, optionally with overload knobs on.
 
-    The client driver is event-for-event identical to
-    :func:`run_scalability_point` — same rng stream, same process
-    names, same warm-up — so with ``overload=None``,
-    ``total_deadline=None``, and the defaults ``mode="packet"`` /
-    ``workload="home"`` the PLT summary is byte-identical to the
-    untouched Figure 7 harness (a regression test holds this).
+    :func:`run_scalability_point` (Figure 7) is this point's ``plt``
+    with the knobs off and the defaults ``mode="packet"`` /
+    ``workload="home"``, and :func:`run_repeated_query_point` is its
+    ``"queries"`` workload: all three share one closed-loop client
+    driver and one result builder.
 
     ``mode`` selects the simulation mode (see :mod:`repro.perf.fluid`);
-    ``workload`` picks the page each client loads: ``"home"`` (the
-    19 KB Scholar home page) or ``"pdf"`` (a 1.2 MB paper download,
-    the bulk steady-state traffic the fluid fast path collapses).
+    ``workload`` picks what each client loads: ``"home"`` (the 19 KB
+    Scholar home page), ``"pdf"`` (a 1.2 MB paper download, the bulk
+    steady-state traffic the fluid fast path collapses) or
+    ``"queries"`` (the repeated-query bursts of
+    :func:`run_repeated_query_point`).
     """
-    world = prepare(method, seed=seed, overload=overload,
+    return _overload_point(method, clients, cycles, seed, overload,
+                           total_deadline, mode, workload)
+
+
+def run_repeated_query_point(method: str = "scholarcloud", clients: int = 60,
+                             cycles: int = 3, seed: int = 0,
+                             overload: t.Optional[OverloadConfig] = None,
+                             cache: t.Optional[CacheConfig] = None,
+                             total_deadline: t.Optional[float] = None,
+                             mode: str = "packet",
+                             corpus_size: t.Optional[int] = None,
+                             ) -> OverloadResult:
+    """One repeated-query (scraper-shaped) workload point.
+
+    Models the deployment's dominant traffic per ROADMAP §4b: a small
+    corpus of popular Scholar queries hit over and over.  Each client
+    warms up on the home page, then per measurement cycle issues a
+    *burst* of 1–4 result-page loads (scraper sessions re-query in
+    runs) 1 s apart, each page drawn Zipf-distributed from the corpus —
+    so the head queries repeat across clients and an edge cache can
+    pay off.
+
+    It is :func:`run_overload_point`'s ``"queries"`` workload with an
+    edge ``cache`` and a ``corpus_size``: same ``scalability-offsets``
+    stream, same ``load-{index}`` process names, same warm-up and 60 s
+    cycle cadence.  All workload randomness comes from the dedicated
+    ``cache.zipf`` stream, drawn lazily (a burst's length when its
+    cycle starts, each page just before its load), so the arrival
+    schedule is comparable across ``cache=None`` / ``cache=...`` runs
+    and fully seed-deterministic.
+
+    Returns an :class:`OverloadResult` whose ``cache`` field carries
+    the edge :class:`~repro.measure.metrics.CacheReport` (with PLT
+    split into hit/miss loads) and whose ``transpacific_bytes`` counts
+    both directions of the border link.
+    """
+    return _overload_point(method, clients, cycles, seed, overload,
+                           total_deadline, mode, "queries", cache=cache,
+                           corpus_size=corpus_size)
+
+
+def _overload_point(method: str, clients: int, cycles: int, seed: int,
+                    overload: t.Optional[OverloadConfig],
+                    total_deadline: t.Optional[float], mode: str,
+                    workload: str, cache: t.Optional[CacheConfig] = None,
+                    corpus_size: t.Optional[int] = None) -> OverloadResult:
+    world = prepare(method, seed=seed, overload=overload, cache=cache,
                     extra_clients=clients, fluid=mode)
     testbed = world.testbed
+    warmup = testbed.scholar_page
+    think_time = 0.0
+    cycle_pages: t.Callable[[], t.Iterable[t.Any]]
     if workload == "home":
-        work_page = testbed.scholar_page
+        cycle_pages = lambda: (warmup,)
     elif workload == "pdf":
-        from ..http import scholar_pdf
-        work_page = scholar_pdf()
-        testbed.scholar_server.add_page(work_page)
+        pdf = warmup = scholar_pdf()
+        testbed.scholar_server.add_page(pdf)
+        cycle_pages = lambda: (pdf,)
+    elif workload == "queries":
+        corpus = query_corpus(corpus_size if corpus_size is not None
+                              else DEFAULT_CORPUS)
+        for page in corpus:
+            testbed.scholar_server.add_page(page)
+        sampler = ZipfSampler(len(corpus))
+        zipf_rng = testbed.rng.stream("cache.zipf")
+
+        def query_burst():
+            for _query in range(sampler.burst_length(zipf_rng)):
+                yield corpus[sampler.sample(zipf_rng)]
+        cycle_pages = query_burst
+        # Scraper think time between queries in a burst.
+        think_time = 1.0
     else:
         raise MeasurementError(f"unknown workload {workload!r}")
-    plts: t.List[float] = []
-    outcomes: t.List[t.Tuple[bool, t.Optional[str]]] = []
+    loads: t.List[PageLoadResult] = []
+    _closed_loop(testbed.sim, testbed.extra_clients[:clients],
+                 testbed.rng.stream("scalability-offsets"), "load-",
+                 world.method.attach_client, warmup, cycles, cycle_pages,
+                 loads.append, think_time=think_time,
+                 total_deadline=total_deadline)
+    return _overload_result(world, method, clients, loads)
 
-    def client_loop(sim, host, offset):
-        connector = yield from world.method.attach_client(host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}",
-                          total_deadline=total_deadline)
-        yield sim.timeout(offset)
-        # Warm-up: populate caches, then measure.
-        yield sim.process(browser.load(work_page))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            result = yield sim.process(browser.load(work_page))
-            outcomes.append((result.succeeded, result.error))
-            if result.succeeded:
-                plts.append(result.plt)
 
-    rng = testbed.rng.stream("scalability-offsets")
-    processes = []
-    for index, host in enumerate(testbed.extra_clients[:clients]):
-        offset = rng.uniform(0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset), name=f"load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
-
-    completed = sum(1 for succeeded, _ in outcomes if succeeded)
-    failed = len(outcomes) - completed
-    client_sheds = sum(1 for succeeded, error in outcomes
-                       if not succeeded and error is not None
-                       and error.startswith("OverloadError"))
+def _overload_result(world: MethodWorld, method: str, clients: int,
+                     loads: t.Sequence[PageLoadResult]) -> OverloadResult:
+    """Fold a run's measured loads and server counters into a result."""
+    testbed = world.testbed
+    plts = [load.plt for load in loads if load.succeeded]
+    completed = len(plts)
+    client_sheds = sum(1 for load in loads if load.error is not None
+                       and load.error.startswith("OverloadError"))
     offered = admitted = shed = deadline_drops = 0
     queue_delays: t.Tuple[float, ...] = ()
     decisions: t.List[t.Tuple[float, str, str, int]] = []
@@ -481,115 +548,13 @@ def run_overload_point(method: str = "scholarcloud", clients: int = 60,
             shed = admission.shed
             queue_delays = tuple(admission.queue_delays)
             decisions = list(admission.decisions)
-    report = OverloadReport(
-        offered=offered, admitted=admitted, shed=shed,
-        deadline_drops=deadline_drops, completed=completed,
-        duration=testbed.sim.now, queue_delays=queue_delays)
-    return OverloadResult(
-        method=method, clients=clients, completed=completed, failed=failed,
-        client_sheds=client_sheds,
-        plt=summarize(plts) if plts else None,
-        report=report, decisions=decisions,
-        transpacific_bytes=sum(testbed.border_link.bytes_sent.values()))
-
-
-def run_repeated_query_point(method: str = "scholarcloud", clients: int = 60,
-                             cycles: int = 3, seed: int = 0,
-                             overload: t.Optional[OverloadConfig] = None,
-                             cache: t.Optional[CacheConfig] = None,
-                             total_deadline: t.Optional[float] = None,
-                             mode: str = "packet",
-                             corpus_size: t.Optional[int] = None,
-                             zipf_s: t.Optional[float] = None,
-                             ) -> OverloadResult:
-    """One repeated-query (scraper-shaped) workload point.
-
-    Models the deployment's dominant traffic per ROADMAP §4b: a small
-    corpus of popular Scholar queries hit over and over.  Each client
-    warms up on the home page, then per measurement cycle issues a
-    *burst* of 1–4 result-page loads (scraper sessions re-query in
-    runs), each page drawn Zipf-distributed from the corpus — so the
-    head queries repeat across clients and an edge cache can pay off.
-
-    The client driver keeps :func:`run_overload_point`'s discipline —
-    same ``scalability-offsets`` stream, same ``load-{index}`` process
-    names, same warm-up and 60 s cycle cadence — and draws all workload
-    randomness from the dedicated ``cache.zipf`` stream, so the arrival
-    schedule is comparable across ``cache=None`` / ``cache=...`` runs
-    and fully seed-deterministic.
-
-    Returns an :class:`OverloadResult` whose ``cache`` field carries
-    the edge :class:`~repro.measure.metrics.CacheReport` (with PLT
-    split into hit/miss loads) and whose ``transpacific_bytes`` counts
-    both directions of the border link.
-    """
-    from ..cache import DEFAULT_CORPUS, DEFAULT_ZIPF_S, ZipfSampler, query_corpus
-    world = prepare(method, seed=seed, overload=overload, cache=cache,
-                    extra_clients=clients, fluid=mode)
-    testbed = world.testbed
-    corpus = query_corpus(corpus_size if corpus_size is not None
-                          else DEFAULT_CORPUS)
-    for page in corpus:
-        testbed.scholar_server.add_page(page)
-    sampler = ZipfSampler(len(corpus), s=(zipf_s if zipf_s is not None
-                                          else DEFAULT_ZIPF_S))
-    zipf_rng = testbed.rng.stream("cache.zipf")
-    plts: t.List[float] = []
-    hit_plts: t.List[float] = []
-    miss_plts: t.List[float] = []
-    outcomes: t.List[t.Tuple[bool, t.Optional[str]]] = []
-
-    def client_loop(sim, host, offset):
-        connector = yield from world.method.attach_client(host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}",
-                          total_deadline=total_deadline)
-        yield sim.timeout(offset)
-        # Warm-up: home page populates pools and session tickets.
-        yield sim.process(browser.load(testbed.scholar_page))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            for _query in range(sampler.burst_length(zipf_rng)):
-                page = corpus[sampler.sample(zipf_rng)]
-                result = yield sim.process(browser.load(page))
-                outcomes.append((result.succeeded, result.error))
-                if result.succeeded:
-                    plts.append(result.plt)
-                    if result.all_from_cache:
-                        hit_plts.append(result.plt)
-                    else:
-                        miss_plts.append(result.plt)
-                # Scraper think time between queries in a burst.
-                yield sim.timeout(1.0)
-
-    rng = testbed.rng.stream("scalability-offsets")
-    processes = []
-    for index, host in enumerate(testbed.extra_clients[:clients]):
-        offset = rng.uniform(0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset), name=f"load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
-
-    completed = sum(1 for succeeded, _ in outcomes if succeeded)
-    failed = len(outcomes) - completed
-    client_sheds = sum(1 for succeeded, error in outcomes
-                       if not succeeded and error is not None
-                       and error.startswith("OverloadError"))
-    offered = admitted = shed = deadline_drops = 0
-    queue_delays: t.Tuple[float, ...] = ()
-    decisions: t.List[t.Tuple[float, str, str, int]] = []
-    domestic = getattr(world.method, "domestic", None)
-    if domestic is not None:
-        deadline_drops = domestic.deadline_drops
-        if domestic.admission is not None:
-            admission = domestic.admission
-            offered = admission.offered
-            admitted = admission.admitted
-            shed = admission.shed
-            queue_delays = tuple(admission.queue_delays)
-            decisions = list(admission.decisions)
     cache_report: t.Optional[CacheReport] = None
     edge_cache = getattr(world.method, "cache", None)
     if edge_cache is not None:
+        hit_plts = [load.plt for load in loads
+                    if load.succeeded and load.all_from_cache]
+        miss_plts = [load.plt for load in loads
+                     if load.succeeded and not load.all_from_cache]
         cache_report = edge_cache.report(
             plt_hit=summarize(hit_plts) if hit_plts else None,
             plt_miss=summarize(miss_plts) if miss_plts else None)
@@ -598,9 +563,8 @@ def run_repeated_query_point(method: str = "scholarcloud", clients: int = 60,
         deadline_drops=deadline_drops, completed=completed,
         duration=testbed.sim.now, queue_delays=queue_delays)
     return OverloadResult(
-        method=method, clients=clients, completed=completed, failed=failed,
-        client_sheds=client_sheds,
+        method=method, clients=clients, completed=completed,
+        failed=len(loads) - completed, client_sheds=client_sheds,
         plt=summarize(plts) if plts else None,
-        report=report, decisions=decisions,
-        cache=cache_report,
+        report=report, decisions=decisions, cache=cache_report,
         transpacific_bytes=sum(testbed.border_link.bytes_sent.values()))

@@ -149,9 +149,8 @@ class Link:
 
     def _notify_fluid(self) -> None:
         """Fault injection invalidates fluid calibration snapshots."""
-        fluid = getattr(self.sim, "fluid", None)
-        if fluid is not None:
-            fluid.on_link_change(self)
+        if self.sim.fluid is not None:
+            self.sim.fluid.on_link_change(self)
 
     # -- data path -----------------------------------------------------------
 

@@ -178,8 +178,6 @@ class FluidStats:
     fluid_bytes: int = 0
     #: Deliveries dropped because the receiver was reset in flight.
     dropped_deliveries: int = 0
-    #: Inspectable-content waivers granted to edge-cache hit streams.
-    cache_hit_waivers: int = 0
     #: Ineligibility reasons -> count (messages that fell back).
     fallbacks: t.Dict[str, int] = field(default_factory=dict)
     #: De-fluidization reasons -> count.
@@ -270,15 +268,8 @@ class FluidRegistry:
             return self._fallback("epoch-change")
         wire = features if features is not None else conn.features
         if wire.plaintext or wire.handshake:
-            if not conn.edge_cache_served:
-                # Keyword filtering / DPI fingerprinting need these packets.
-                return self._fallback("inspectable")
-            # Edge-cache hit stream: the only inspectable content on
-            # this leg is the constant CONNECT preamble, which already
-            # crossed at packet level before the first hit could be
-            # served — steady-state hit frames add nothing for the
-            # keyword filter to see.
-            self.stats.cache_hit_waivers += 1
+            # Keyword filtering / DPI fingerprinting need these packets.
+            return self._fallback("inspectable")
         peer, path = self._resolve_path(conn)
         if path is None or peer is None:
             return self._fallback("no-path")

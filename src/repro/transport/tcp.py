@@ -196,7 +196,7 @@ class TcpConnection:
 
     __slots__ = (
         "transport", "sim", "local_addr", "local_port", "remote_addr",
-        "remote_port", "features", "state", "edge_cache_served",
+        "remote_port", "features", "state",
         # Sender.
         "_send_buffer", "_snd_una", "_snd_nxt", "_cwnd", "_ssthresh",
         "_dup_acks", "_in_flight",
@@ -239,10 +239,6 @@ class TcpConnection:
         #: Default wire features for data segments of this connection.
         self.features = features or WireFeatures()
         self.state = self.CLOSED
-        #: Set by the domestic proxy's edge cache once it has served a
-        #: hit on this connection; the fluid fast path then waives the
-        #: inspectable-content check for its sends.
-        self.edge_cache_served = False
 
         # Sender state.
         self._send_buffer = _SendBuffer()
